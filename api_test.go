@@ -174,12 +174,12 @@ func TestNewMachinePublic(t *testing.T) {
 	if _, err := NewMachine(ProtocolBenOrCrash, MachineConfig{N: 5, K: 2, Coin: CoinNone}); err == nil {
 		t.Error("coinless override accepted for a randomized protocol")
 	}
-	bm, err := NewBenOrMachine(ProtocolBenOrCrash, MachineConfig{N: 5, K: 2, Self: 0, Input: V0}, 1)
+	bm, err := NewMachine(ProtocolBenOrCrash, MachineConfig{N: 5, K: 2, Self: 0, Input: V0, CoinSeed: 1})
 	if err != nil || bm == nil {
-		t.Fatalf("NewBenOrMachine: %v", err)
+		t.Fatalf("NewMachine(ProtocolBenOrCrash, CoinSeed 1): %v", err)
 	}
-	if _, err := NewBenOrMachine(ProtocolFailStop, MachineConfig{N: 5, K: 2}, 1); err == nil {
-		t.Error("non-benor protocol accepted by NewBenOrMachine")
+	if _, err := NewMachine(ProtocolFailStop, MachineConfig{N: 5, K: 2, CoinSeed: 1, Coin: CoinLocal}); err == nil {
+		t.Error("local coin accepted for a non-Ben-Or protocol")
 	}
 }
 

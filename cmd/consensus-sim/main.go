@@ -305,18 +305,18 @@ func run(args []string) error {
 		return runErr
 	}
 
+	opts := resilient.SimOptions{
+		Seed:        *seed,
+		Crashes:     crashes,
+		Adversaries: adversaries,
+		Policy:      pol,
+		Broadcast:   scheme,
+		Eps:         *epsFlag,
+		Coin:        coinScheme,
+		Unsafe:      *unsafe,
+		Metrics:     reg,
+	}
 	if *trials <= 1 {
-		opts := resilient.SimOptions{
-			Seed:        *seed,
-			Crashes:     crashes,
-			Adversaries: adversaries,
-			Policy:      pol,
-			Broadcast:   scheme,
-			Eps:         *epsFlag,
-			Coin:        coinScheme,
-			Unsafe:      *unsafe,
-			Metrics:     reg,
-		}
 		var buf *trace.Buffer
 		if *showTrace {
 			buf = trace.NewBuffer(0)
@@ -346,17 +346,9 @@ func run(args []string) error {
 		phases, msgs   float64
 	}
 	results, err := sweep.Run(*trials, *workers, func(tr int) (trialOut, error) {
-		res, err := resilient.Simulate(proto, *n, *k, inputs, resilient.SimOptions{
-			Seed:        *seed + uint64(tr),
-			Crashes:     crashes,
-			Adversaries: adversaries,
-			Policy:      pol,
-			Broadcast:   scheme,
-			Eps:         *epsFlag,
-			Coin:        coinScheme,
-			Unsafe:      *unsafe,
-			Metrics:     reg,
-		})
+		trial := opts
+		trial.Seed = *seed + uint64(tr)
+		res, err := resilient.Simulate(proto, *n, *k, inputs, trial)
 		if err != nil {
 			return trialOut{}, err
 		}

@@ -9,6 +9,7 @@ import (
 	"resilient/internal/faults"
 	"resilient/internal/livenet"
 	"resilient/internal/msg"
+	"resilient/internal/netxport"
 	"resilient/internal/policy"
 	"resilient/internal/runtime"
 	"resilient/internal/transport"
@@ -122,12 +123,10 @@ type Scenario struct {
 	// strategies except StrategyBalancer (which needs the simulator's
 	// omniscient world view) run on every engine.
 	Adversaries map[ID]Strategy
-	// Scheduler is the simulator's delay policy when Policy is nil;
-	// live engines ignore it (use Policy for engine-independent delays).
-	Scheduler Scheduler
 	// Policy, when non-nil, decides per-link delivery on every engine:
 	// virtual delay units in the simulator, wall-clock units of Unit on
-	// the live engines.
+	// the live engines. A delay Scheduler runs through
+	// PolicyFromScheduler; nil keeps the default Uniform[0.1, 1] delays.
 	Policy LinkPolicy
 	// Unit is the wall-clock length of one abstract delay unit on live
 	// engines (0 = livenet.DefaultUnit, one millisecond).
@@ -152,6 +151,50 @@ type Scenario struct {
 	Metrics *MetricsRegistry
 }
 
+// simOptions is the scenario as simulator options; the live engines reuse
+// it to spawn the same machines.
+func (sc Scenario) simOptions() SimOptions {
+	return SimOptions{
+		Seed:        sc.Seed,
+		Policy:      sc.Policy,
+		Crashes:     sc.Crashes,
+		Adversaries: sc.Adversaries,
+		Broadcast:   sc.Broadcast,
+		Eps:         sc.Eps,
+		Coin:        sc.Coin,
+		Unsafe:      sc.Unsafe,
+		Metrics:     sc.Metrics,
+	}
+}
+
+// TCPTuning tunes the loopback TCP transport behind EngineTCP runs. The
+// zero value keeps the transport defaults (coalescing on, 50µs linger,
+// 1 MiB per-peer queue).
+type TCPTuning struct {
+	// Linger is the write-coalescing window: how long a waking writer lets
+	// a burst accumulate before flushing it in one syscall (0 = default).
+	Linger time.Duration
+	// QueueCap is the per-peer pending-buffer cap in bytes; beyond it sends
+	// block until the writer drains (0 = default).
+	QueueCap int
+	// NoCoalesce selects the one-write-per-frame direct path -- the
+	// pre-coalescing transport's cost profile, kept for comparison.
+	NoCoalesce bool
+}
+
+func (t TCPTuning) apply(ep *netxport.Endpoint) {
+	if t.Linger > 0 {
+		ep.SetLinger(t.Linger)
+	}
+	if t.QueueCap > 0 {
+		ep.SetQueueCap(t.QueueCap)
+	}
+	ep.SetCoalescing(!t.NoCoalesce)
+}
+
+// ClusterReport summarizes a live run; see the livenet package.
+type ClusterReport = livenet.Report
+
 // Outcome is the engine-independent view of one scenario execution. The
 // engine-specific report (Sim or Live) carries the full detail.
 type Outcome struct {
@@ -168,7 +211,10 @@ type Outcome struct {
 	// AllDecided reports whether every correct (non-Byzantine,
 	// non-crash-planned) process decided.
 	AllDecided bool
-	// Crashed lists processes that died under the fault plan.
+	// Crashed lists the crash-planned processes whose planned crash point
+	// was reached before the run ended. Crash-planned processes are never
+	// awaited, so a run can end before a late trigger fires; such a
+	// process is simply not listed. Both engines follow this rule.
 	Crashed []ID
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
@@ -189,18 +235,7 @@ func RunScenario(ctx context.Context, engine Engine, sc Scenario) (*Outcome, err
 	}
 	switch engine {
 	case EngineSim:
-		res, err := Simulate(sc.Protocol, sc.N, sc.K, sc.Inputs, SimOptions{
-			Seed:        sc.Seed,
-			Scheduler:   sc.Scheduler,
-			Policy:      sc.Policy,
-			Crashes:     sc.Crashes,
-			Adversaries: sc.Adversaries,
-			Broadcast:   sc.Broadcast,
-			Eps:         sc.Eps,
-			Coin:        sc.Coin,
-			Unsafe:      sc.Unsafe,
-			Metrics:     sc.Metrics,
-		})
+		res, err := Simulate(sc.Protocol, sc.N, sc.K, sc.Inputs, sc.simOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -262,10 +297,14 @@ func newScenarioCluster(engine Engine, sc Scenario) (*livenet.Cluster, error) {
 		}
 		cluster, err = livenet.NewJitterCluster(machines, maxDelay, sc.Seed)
 	case EngineTCP:
-		var conns []transport.Conn
-		conns, err = tcpMeshConns(sc.N, sc.Metrics, sc.TCP)
+		var endpoints []*netxport.Endpoint
+		endpoints, err = tcpMeshEndpoints(sc.N, sc.Metrics, sc.TCP)
 		if err != nil {
 			return nil, err
+		}
+		conns := make([]transport.Conn, sc.N)
+		for i, ep := range endpoints {
+			conns[i] = ep
 		}
 		cluster, err = livenet.NewCluster(machines, conns)
 		if err != nil {
@@ -312,14 +351,7 @@ func liveMachines(sc Scenario) ([]core.Machine, error) {
 			return nil, fmt.Errorf("resilient: %v needs the simulator's omniscient world view; run it on EngineSim", strat)
 		}
 	}
-	simOpts := SimOptions{
-		Seed:        sc.Seed,
-		Adversaries: sc.Adversaries,
-		Broadcast:   sc.Broadcast,
-		Eps:         sc.Eps,
-		Coin:        sc.Coin,
-		Unsafe:      sc.Unsafe,
-	}
+	simOpts := sc.simOptions()
 	dir, err := sampleDirectory(sc.Protocol, sc.N, sc.K, simOpts)
 	if err != nil {
 		return nil, err
@@ -343,4 +375,37 @@ func liveMachines(sc Scenario) ([]core.Machine, error) {
 		machines[i] = m
 	}
 	return machines, nil
+}
+
+// tcpMeshEndpoints starts n loopback TCP endpoints on ephemeral ports and
+// wires them into a full mesh: everyone listens first, then the discovered
+// addresses are exchanged. On error, every endpoint opened so far is closed.
+func tcpMeshEndpoints(n int, reg *MetricsRegistry, tune TCPTuning) ([]*netxport.Endpoint, error) {
+	endpoints := make([]*netxport.Endpoint, n)
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:0"
+	}
+	for i := 0; i < n; i++ {
+		ep, err := netxport.Listen(msg.ID(i), addrs)
+		if err != nil {
+			for j := 0; j < i; j++ {
+				endpoints[j].Close()
+			}
+			return nil, err
+		}
+		ep.SetMetrics(reg)
+		tune.apply(ep)
+		endpoints[i] = ep
+	}
+	final := make([]string, n)
+	for i, ep := range endpoints {
+		final[i] = ep.Addr()
+	}
+	for _, ep := range endpoints {
+		for j, a := range final {
+			ep.SetPeerAddr(msg.ID(j), a)
+		}
+	}
+	return endpoints, nil
 }

@@ -21,8 +21,8 @@ func main() {
 	// This example drives the internal lower-bound experiment through the
 	// public Simulate API using the majority variant, whose unreachable
 	// decide threshold at k = n/2 demonstrates the liveness horn; the
-	// disagreement horn is shown by cmd/lowerbound, which uses the greedy
-	// strawman protocol.
+	// disagreement horn is shown by experiment E5 (experiments -only E5),
+	// which uses the greedy strawman protocol.
 	n, k := 6, 3
 	inputs := []resilient.Value{0, 0, 0, 1, 1, 1}
 
@@ -40,6 +40,7 @@ func main() {
 
 	fmt.Println("With k = n/2 the witness cardinality can never exceed n/2, so Figure 1")
 	fmt.Println("can stall forever; and Theorem 1 proves every protocol that instead")
-	fmt.Println("keeps deciding can be driven to disagreement. Run cmd/lowerbound to see")
-	fmt.Println("the full table, including the disagreement execution.")
+	fmt.Println("keeps deciding can be driven to disagreement. Run")
+	fmt.Println("`go run ./cmd/experiments -only E5` to see the full table, including")
+	fmt.Println("the disagreement execution.")
 }

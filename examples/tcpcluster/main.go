@@ -20,10 +20,17 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	report, err := resilient.RunTCPCluster(ctx, resilient.ProtocolMalicious, n, k, inputs)
+	out, err := resilient.RunScenario(ctx, resilient.EngineTCP, resilient.Scenario{
+		Protocol: resilient.ProtocolMalicious,
+		N:        n,
+		K:        k,
+		Inputs:   inputs,
+		Seed:     1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	report := out.Live
 
 	fmt.Printf("TCP cluster of %d (k=%d) finished in %v\n", n, k, report.Elapsed.Round(time.Millisecond))
 	fmt.Printf("  agreement: %v, value: %d\n", report.Agreement, report.Value)

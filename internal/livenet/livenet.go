@@ -219,8 +219,11 @@ type Report struct {
 	// AllDecided reports whether every correct (non-Byzantine,
 	// non-crash-planned) process decided.
 	AllDecided bool
-	// Crashed lists the processes that died under the fault plan, in
-	// ascending order.
+	// Crashed lists, in ascending order, the crash-planned processes whose
+	// planned crash point was reached before the run ended. Crash-planned
+	// processes are never awaited, so the survivors may decide and end the
+	// run before a late trigger fires; such a process is not listed. The
+	// simulator follows the same rule (runtime.Result.Crashed).
 	Crashed []msg.ID
 	// Elapsed is the wall-clock duration from start to the last decision.
 	Elapsed time.Duration

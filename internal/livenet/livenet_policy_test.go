@@ -16,7 +16,12 @@ import (
 // TestMemClusterCrashPlan runs the same kind of fail-stop fault plan the
 // simulator executes -- one initially-dead process, two crash-at-phase
 // deaths (one mid-broadcast) -- on the live engine: the survivors must
-// still decide and the report must account for the dead.
+// still decide and the report must account for the dead. Survivors 0-3 are
+// exactly n-k, so they may decide and end the run before p5's phase-1 or
+// p6's phase-2 trigger fires; the test asserts only what holds on every
+// schedule (Report.Crashed documents the rule). The deterministic
+// simulator pins both triggers firing for this plan (the root package's
+// TestSimCrashPlanTriggers).
 func TestMemClusterCrashPlan(t *testing.T) {
 	n, k := 7, 3
 	cluster, err := NewMemCluster(failstopMachines(t, n, k, mixed(n)))
@@ -40,17 +45,28 @@ func TestMemClusterCrashPlan(t *testing.T) {
 	if !rep.Agreement {
 		t.Fatalf("disagreement under crash plan: %+v", rep.Decisions)
 	}
-	want := []msg.ID{4, 5, 6}
-	if !slices.Equal(rep.Crashed, want) {
-		t.Fatalf("crashed %v, want %v", rep.Crashed, want)
+	if !slices.Contains(rep.Crashed, 4) {
+		t.Fatalf("crashed %v misses the initially-dead p4", rep.Crashed)
 	}
-	for _, dec := range rep.Decisions {
-		if dec.Process >= 4 {
-			t.Fatalf("crash-planned p%d decided: %+v", dec.Process, dec)
+	for i, id := range rep.Crashed {
+		if _, planned := cluster.Crashes[id]; !planned || (i > 0 && rep.Crashed[i-1] >= id) {
+			t.Fatalf("crashed %v is not an ascending subset of the plan {4,5,6}", rep.Crashed)
 		}
 	}
-	if len(rep.Decisions) != n-k {
-		t.Fatalf("%d decisions, want %d", len(rep.Decisions), n-k)
+	survivors := 0
+	for _, dec := range rep.Decisions {
+		if dec.Process < 4 {
+			survivors++
+			continue
+		}
+		// A crash-planned process may decide up to (and in) the step it
+		// dies, never in a later phase.
+		if slices.Contains(rep.Crashed, dec.Process) && dec.Phase > cluster.Crashes[dec.Process].Phase {
+			t.Fatalf("p%d decided after its crash: %+v", dec.Process, dec)
+		}
+	}
+	if survivors != n-k {
+		t.Fatalf("%d survivor decisions, want %d: %+v", survivors, n-k, rep.Decisions)
 	}
 }
 

@@ -197,7 +197,11 @@ type Result struct {
 	SimTime float64
 	// MaxPhase is the largest phase any non-Byzantine machine reached.
 	MaxPhase msg.Phase
-	// Crashed lists processes that died during the run.
+	// Crashed lists, in crash order, the crash-planned processes whose
+	// planned crash point was reached before the run ended. Crash-planned
+	// processes are never awaited, so a run that stops at the last correct
+	// decision can end before a late trigger fires; such a process is not
+	// listed. The live engine follows the same rule (livenet.Report.Crashed).
 	Crashed []msg.ID
 	// WallClock is the real time the run took inside Run.
 	WallClock time.Duration

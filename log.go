@@ -340,6 +340,12 @@ func RunLog(ctx context.Context, opts LogOptions, ops [][]byte) (*LogReport, err
 	if err != nil {
 		return nil, err
 	}
+	return r.runClosed(ctx, ops)
+}
+
+// runClosed batches a fixed operation list and runs it to completion on
+// the configured engine.
+func (r *logRun) runClosed(ctx context.Context, ops [][]byte) (*LogReport, error) {
 	for i, op := range ops {
 		if len(op) > maxLogOp {
 			return nil, fmt.Errorf("resilient: log op %d is %d bytes (max %d)", i, len(op), maxLogOp)
@@ -549,7 +555,9 @@ dispatch:
 // the real wire, so throughput numbers include payload transfer.
 func (r *logRun) runLiveSlot(ctx context.Context, d slotDesc, endpoints []*netxport.Endpoint) (livenet.InstanceOutcome, error) {
 	seed := r.slotSeed(d.slot)
-	machines, err := buildMachines(r.protocol, r.n, r.k, d.inputs(r.n), seed, r.coin)
+	machines, err := liveMachines(Scenario{
+		Protocol: r.protocol, N: r.n, K: r.k, Inputs: d.inputs(r.n), Seed: seed, Coin: r.coin,
+	})
 	if err != nil {
 		return livenet.InstanceOutcome{}, err
 	}

@@ -98,7 +98,7 @@ func RunLogWorkload(ctx context.Context, opts LogWorkloadOptions) (*LogReport, e
 		return nil, err
 	}
 	if r.engine == EngineSim || opts.Rate == 0 {
-		return RunLog(ctx, opts.Log, ops)
+		return r.runClosed(ctx, ops)
 	}
 
 	ch := make(chan *logBatch, 2*r.window)

@@ -8,10 +8,11 @@
 // The package offers three ways to run a protocol:
 //
 //   - Simulate: a deterministic discrete-event simulation with fault
-//     injection, adversarial scheduling, and full metrics (the tool the
-//     experiments are built on).
-//   - RunCluster / RunTCPCluster: a live goroutine-per-process execution
-//     over an in-memory message system or real TCP sockets.
+//     injection, adversarial scheduling, tracing, and full metrics (the
+//     tool the experiments are built on).
+//   - RunScenario: one engine-independent Scenario on any Engine -- the
+//     simulator, or a live goroutine-per-process execution over an
+//     in-memory message system or real TCP sockets.
 //   - NewMachine: raw protocol state machines, for embedding in a custom
 //     engine.
 //
@@ -29,13 +30,12 @@
 package resilient
 
 import (
-	"fmt"
-
 	"resilient/internal/coin"
 	"resilient/internal/core"
 	"resilient/internal/msg"
 	"resilient/internal/proto"
 	"resilient/internal/quorum"
+	"resilient/internal/runtime"
 
 	// Every protocol package registers its descriptors with the registry at
 	// init time; these imports pull the whole zoo in.
@@ -161,8 +161,10 @@ type MachineConfig struct {
 	Input Value
 	// CoinSeed seeds the machine's coin for protocols that draw one: give
 	// every process a distinct value under the local scheme and the same
-	// run-wide value under the shared scheme. Deterministic protocols
-	// ignore it.
+	// run-wide value under the shared scheme. A live run with seed s gives
+	// process i the local seed s ^ (i+1)*0x9e3779b97f4a7c15 and the shared
+	// seed s; the same values here rebuild its machines. Deterministic
+	// protocols ignore it.
 	CoinSeed uint64
 	// Coin overrides the protocol's default coin scheme (CoinAuto keeps
 	// the default); overrides that contradict the protocol are rejected.
@@ -175,34 +177,14 @@ type MachineConfig struct {
 // sampled broadcast stage get their full-quorum variant (the sampled one
 // needs a run-wide sample directory, built through Simulate).
 func NewMachine(p Protocol, cfg MachineConfig) (Machine, error) {
-	d, ok := proto.Lookup(p)
-	if !ok {
-		return nil, fmt.Errorf("resilient: unknown protocol %d", int(p))
-	}
-	scheme, err := d.ResolveCoin(cfg.Coin)
+	spawn, err := spawnerFor(p, SimOptions{Seed: cfg.CoinSeed, Coin: cfg.Coin}, nil)
 	if err != nil {
-		return nil, fmt.Errorf("resilient: %w", err)
+		return nil, err
 	}
-	deps := proto.Deps{}
-	switch scheme {
-	case CoinLocal:
-		deps.Coin = coin.NewLocal(newRand(cfg.CoinSeed))
-	case CoinShared:
-		deps.Coin = coin.NewShared(cfg.CoinSeed)
-	}
-	return d.Spawn(core.Config{N: cfg.N, K: cfg.K, Self: cfg.Self, Input: cfg.Input}, deps)
-}
-
-// NewBenOrMachine builds a Ben-Or machine with the given coin seed.
-//
-// Deprecated: NewMachine accepts the Ben-Or protocols directly; set
-// MachineConfig.CoinSeed instead.
-func NewBenOrMachine(p Protocol, cfg MachineConfig, coinSeed uint64) (Machine, error) {
-	if p != ProtocolBenOrCrash && p != ProtocolBenOrByzantine && p != ProtocolBenOrShared {
-		return nil, fmt.Errorf("resilient: %v is not a Ben-Or protocol", p)
-	}
-	cfg.CoinSeed = coinSeed
-	return NewMachine(p, cfg)
+	return spawn(runtime.SpawnContext{
+		Config: core.Config{N: cfg.N, K: cfg.K, Self: cfg.Self, Input: cfg.Input},
+		RNG:    newRand(cfg.CoinSeed),
+	})
 }
 
 // MaxFaultsFor returns the tight resilience bound of the paper for a fault

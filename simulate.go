@@ -148,12 +148,10 @@ func (s BroadcastScheme) Valid() bool {
 type SimOptions struct {
 	// Seed selects the execution; same options, same execution.
 	Seed uint64
-	// Scheduler overrides the delivery-delay policy.
-	Scheduler Scheduler
-	// Policy, when non-nil, replaces Scheduler with a full link policy
-	// (delay, loss, partition) from the shared fault/delivery layer; the
-	// same policy value drives the live engines. Scheduler is ignored when
-	// Policy is set.
+	// Policy, when non-nil, decides per-link delivery (delay, loss,
+	// partition) through the shared fault/delivery layer; the same policy
+	// value drives the live engines. A plain delay Scheduler runs through
+	// PolicyFromScheduler, bit-exactly.
 	Policy LinkPolicy
 	// Crashes schedules fail-stop deaths, keyed by process.
 	Crashes map[ID]Crash
@@ -226,7 +224,6 @@ func Simulate(p Protocol, n, k int, inputs []Value, opts SimOptions) (*Result, e
 		Spawn:           spawner,
 		Byzantine:       byz,
 		Crashes:         faults.Plan(opts.Crashes),
-		Scheduler:       opts.Scheduler,
 		Policy:          opts.Policy,
 		Seed:            opts.Seed,
 		Sink:            opts.Trace,
